@@ -1,83 +1,98 @@
 """Event heap for the discrete-event simulation kernel.
 
-Events are ordered by ``(time, priority, sequence)``.  The monotonically
-increasing sequence number guarantees deterministic FIFO ordering among
-events scheduled for the same time and priority, which keeps every
-simulation in this package fully reproducible.
+Heap entries are plain tuples ``(time, priority, seq, event)``, so every
+heap comparison runs in C on the leading floats and ints.  ``seq`` comes
+from one monotonically increasing counter and is unique per entry, which
+makes the order total: ties on ``(time, priority)`` fall back to
+scheduling order (FIFO), and two entries never compare their ``event``
+field.  Determinism therefore never depends on how events would compare,
+which keeps every simulation in this package fully reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback and its cancel handle.
 
     Attributes:
         time: Simulation time (ns in this package) at which to fire.
         priority: Lower fires first among same-time events.
         seq: Tie-breaker preserving scheduling order.
-        action: Zero-argument callable run when the event fires.
+        action: Callable run as ``action(*args)`` when the event fires.
+        args: Positional arguments for ``action``.
         cancelled: Cancelled events are skipped when popped.
     """
 
-    time: float
-    priority: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    tag: Any = field(default=None, compare=False)
+    __slots__ = ("time", "priority", "seq", "action", "args", "cancelled")
+
+    def __init__(self, time: float, priority: int, seq: int,
+                 action: Callable[..., None], args: Tuple[Any, ...] = ()
+                 ) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self.action = action
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
 
+    def __repr__(self) -> str:
+        return (f"Event(time={self.time!r}, priority={self.priority!r}, "
+                f"seq={self.seq!r}, action={self.action!r}, "
+                f"cancelled={self.cancelled!r})")
+
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects."""
+    """A deterministic min-heap of ``(time, priority, seq, event)`` entries.
+
+    :class:`~repro.engine.simulator.Simulator` pushes and pops on
+    ``heap`` and draws from ``counter`` directly, keeping its per-event
+    path free of method calls; both must follow the entry layout above.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self.heap: List[Tuple[float, int, int, Event]] = []
+        self.counter = itertools.count()
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
 
-    def push(
-        self,
-        time: float,
-        action: Callable[[], None],
-        priority: int = 0,
-        tag: Any = None,
-    ) -> Event:
-        """Schedule ``action`` at absolute ``time``; returns a cancel handle."""
-        event = Event(time=time, priority=priority, seq=next(self._counter),
-                      action=action, tag=tag)
-        heapq.heappush(self._heap, event)
+    def push(self, time: float, action: Callable[..., None], *args: Any,
+             priority: int = 0) -> Event:
+        """Schedule ``action(*args)`` at absolute ``time``; returns a cancel
+        handle."""
+        seq = next(self.counter)
+        event = Event(time, priority, seq, action, args)
+        heapq.heappush(self.heap, (time, priority, seq, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Pop the next non-cancelled event, or None if the queue drains."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self.heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if self._heap:
-            return self._heap[0].time
+        heap = self.heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        if heap:
+            return heap[0][0]
         return None
 
     def clear(self) -> None:
-        self._heap.clear()
+        self.heap.clear()

@@ -4,10 +4,15 @@ All network simulations in this package run on :class:`Simulator`.  Time is
 measured in nanoseconds (float); components that think in clock cycles
 convert via their chip configuration.  The kernel is deliberately small:
 an event heap, a current time, and a run loop with step/time limits.
+
+Actions are scheduled as ``action, *args`` and fired as ``action(*args)``,
+so hot paths schedule bound methods with their arguments instead of
+allocating a closure per event.  ``priority`` is keyword-only.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from .events import Event, EventQueue
@@ -23,14 +28,19 @@ class Simulator:
     Example:
         >>> sim = Simulator()
         >>> fired = []
-        >>> _ = sim.at(5.0, lambda: fired.append(sim.now))
+        >>> _ = sim.at(5.0, fired.append, "a")
+        >>> _ = sim.after(2.0, lambda: fired.append(sim.now))
         >>> sim.run()
+        5.0
         >>> fired
-        [5.0]
+        [2.0, 'a']
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
+        # Scheduling and the run loop work on the queue's heap directly.
+        self._heap = self._queue.heap
+        self._counter = self._queue.counter
         self._now = 0.0
         self._events_processed = 0
         self._running = False
@@ -53,21 +63,27 @@ class Simulator:
     def pending_events(self) -> int:
         return len(self._queue)
 
-    def at(self, time: float, action: Callable[[], None],
-           priority: int = 0, tag: Any = None) -> Event:
-        """Schedule ``action`` at absolute time ``time``."""
+    def at(self, time: float, action: Callable[..., None], *args: Any,
+           priority: int = 0) -> Event:
+        """Schedule ``action(*args)`` at absolute time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} ns; now is {self._now} ns")
-        return self._queue.push(time, action, priority=priority, tag=tag)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, args)
+        heappush(self._heap, (time, priority, seq, event))
+        return event
 
-    def after(self, delay: float, action: Callable[[], None],
-              priority: int = 0, tag: Any = None) -> Event:
-        """Schedule ``action`` ``delay`` ns from now."""
+    def after(self, delay: float, action: Callable[..., None], *args: Any,
+              priority: int = 0) -> Event:
+        """Schedule ``action(*args)`` ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self._now + delay, action,
-                                priority=priority, tag=tag)
+        time = self._now + delay
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, args)
+        heappush(self._heap, (time, priority, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     # Run loop.
@@ -80,30 +96,37 @@ class Simulator:
             return False
         self._now = event.time
         self._events_processed += 1
-        event.action()
+        event.action(*event.args)
         return True
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or event budget.
 
-        Returns the simulation time when the loop stopped.
+        Returns the simulation time when the loop stopped.  Cancelled
+        events at the head of the queue are discarded without counting
+        against ``max_events`` or ``events_processed``.
         """
         self._running = True
         self._stop_requested = False
-        processed = 0
+        heap = self._heap
+        first = self._events_processed
         try:
-            while not self._stop_requested:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            while heap and not self._stop_requested:
+                time, __, __, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if until is not None and time > until:
                     self._now = until
                     break
-                if max_events is not None and processed >= max_events:
+                if (max_events is not None
+                        and self._events_processed - first >= max_events):
                     break
-                self.step()
-                processed += 1
+                heappop(heap)
+                self._now = time
+                self._events_processed += 1
+                event.action(*event.args)
         finally:
             self._running = False
         return self._now

@@ -8,8 +8,8 @@ recorder used for the machine-activity plots (Figure 12 of the paper).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 
 class Counter:

@@ -38,10 +38,9 @@ class FaultInjector:
             if event.time_ns <= 0:
                 self._apply_event(event)
             else:
-                sim.at(event.time_ns, lambda e=event: self._apply_event(e))
+                sim.at(event.time_ns, self._apply_event, event)
             if event.kind == "flap":
-                sim.at(event.restore_ns,
-                       lambda e=event: self._restore_event(e))
+                sim.at(event.restore_ns, self._restore_event, event)
 
     # ------------------------------------------------------------------
 

@@ -153,8 +153,8 @@ class FenceEngine:
         # Intra-node aggregation, then either local completion (0 hops)
         # or emission of the first inter-node round.
         for coord in self.machine.chips:
-            sim.after(self.timing.aggregation_ns,
-                      lambda c=coord: self._aggregated(fence_id, c))
+            sim.after(self.timing.aggregation_ns, self._aggregated,
+                      fence_id, coord)
         return fence_id
 
     def barrier_latency(self, hops: int,
@@ -321,15 +321,15 @@ class FenceEngine:
             self._complete(fence_id, coord, remote=True)
             return
         next_round = state.rounds_done + 1
-        sim.after(self.timing.internal_ns,
-                  lambda: self._emit_round(fence_id, coord, next_round))
+        sim.after(self.timing.internal_ns, self._emit_round, fence_id, coord,
+                  next_round)
         # A node that received fast neighbors' fences may already hold a
         # complete set for the next round.
         if state.arrivals.get(next_round, 0) == state.expected:
             # Handled when our own emission finishes; arrival counting is
             # already complete, so schedule the check after emission.
-            sim.after(self.timing.internal_ns,
-                      lambda: self._round_complete(fence_id, coord))
+            sim.after(self.timing.internal_ns, self._round_complete,
+                      fence_id, coord)
 
     def _complete(self, fence_id: int, coord: Coord, remote: bool) -> None:
         state = self._states[(fence_id, coord)]
@@ -339,16 +339,16 @@ class FenceEngine:
             delay += timing.remote_exit_ns
         if state.pattern is FencePattern.GC_TO_ICB:
             delay = max(0.0, delay - timing.icb_delivery_discount_ns)
-        sim = self.machine.sim
+        self.machine.sim.after(delay, self._finish, fence_id, coord, state)
 
-        def finish() -> None:
-            state.complete_ns = sim.now
-            self._active_fences.discard(fence_id)
-            observer = getattr(self.machine, "observer", None)
-            if observer is not None:
-                observer.on_fence_node_complete(fence_id, coord, sim.now)
-            callback = self._on_complete.get(fence_id)
-            if callback is not None:
-                callback(coord, sim.now)
-
-        sim.after(delay, finish)
+    def _finish(self, fence_id: int, coord: Coord,
+                state: _NodeFenceState) -> None:
+        now = self.machine.sim.now
+        state.complete_ns = now
+        self._active_fences.discard(fence_id)
+        observer = getattr(self.machine, "observer", None)
+        if observer is not None:
+            observer.on_fence_node_complete(fence_id, coord, now)
+        callback = self._on_complete.get(fence_id)
+        if callback is not None:
+            callback(coord, now)

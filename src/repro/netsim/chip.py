@@ -162,43 +162,43 @@ class ChipNetwork(CoreNetworkHost):
         delay = self.params.cycles(self.params.gc_send_overhead_cycles)
         if self.observer is not None:
             self.observer.on_inject(self, packet, delay)
-        self._sim.after(delay, lambda: self.core.inject(packet,
-                                                        packet.src_core))
+        self._sim.after(delay, self.core.inject, packet, packet.src_core)
 
     def _deliver_to_gc(self, packet: Packet) -> None:
         """Final TRTR ejection plus SRAM commit for an arriving packet."""
         params = self.params
         delay = params.cycles(params.trtr_cycles + params.sram_write_cycles)
+        self._sim.after(delay, self._commit, packet, delay)
 
-        def commit() -> None:
-            endpoint = self.gc(packet.dst_core)
-            packet.delivered_ns = self._sim.now
-            self.delivered_counts[packet.traffic_class] += 1
-            if self.record_delivered:
-                endpoint.delivered.append(packet)
-            if packet.kind in (PacketKind.COUNTED_WRITE, PacketKind.POSITION,
-                               PacketKind.FORCE):
-                words = list(packet.payload_words) or [0, 0, 0, 0]
-                endpoint.sram.counted_write(packet.quad_addr, words[:4],
-                                            accumulate=packet.accumulate)
-            elif packet.kind is PacketKind.READ_REQUEST:
-                self._serve_remote_read(packet, endpoint)
-            elif packet.kind is PacketKind.READ_RESPONSE:
-                # Read data lands as a counted write to the requester's
-                # reply quad, releasing any blocking read on it.
-                words = list(packet.payload_words) or [0, 0, 0, 0]
-                endpoint.sram.counted_write(packet.quad_addr, words[:4])
-            if self.delivery_hook is not None:
-                self.delivery_hook(packet)
-            if self.observer is not None:
-                self.observer.on_deliver(self, packet, delay)
-
-        self._sim.after(delay, commit)
+    def _commit(self, packet: Packet, delay: float) -> None:
+        """The SRAM commit ``delay`` ns after a packet reached its GC."""
+        endpoint = self.gc(packet.dst_core)
+        packet.delivered_ns = self._sim.now
+        self.delivered_counts[packet.traffic_class] += 1
+        if self.record_delivered:
+            endpoint.delivered.append(packet)
+        if packet.kind in (PacketKind.COUNTED_WRITE, PacketKind.POSITION,
+                           PacketKind.FORCE):
+            words = list(packet.payload_words) or [0, 0, 0, 0]
+            endpoint.sram.counted_write(packet.quad_addr, words[:4],
+                                        accumulate=packet.accumulate)
+        elif packet.kind is PacketKind.READ_REQUEST:
+            self._serve_remote_read(packet, endpoint)
+        elif packet.kind is PacketKind.READ_RESPONSE:
+            # Read data lands as a counted write to the requester's
+            # reply quad, releasing any blocking read on it.
+            words = list(packet.payload_words) or [0, 0, 0, 0]
+            endpoint.sram.counted_write(packet.quad_addr, words[:4])
+        if self.delivery_hook is not None:
+            self.delivery_hook(packet)
+        if self.observer is not None:
+            self.observer.on_deliver(self, packet, delay)
 
     def _serve_remote_read(self, request: Packet,
                            endpoint: GcEndpoint) -> None:
         """Memory serves a remote read: returns the addressed quad as a
-        response-class packet (XYZ mesh-restricted route, response VC)."""
+        response-class packet (XYZ mesh-restricted route, response VC).
+        A request that opted in to a hop log gets a logged response."""
         words = tuple(endpoint.sram.read(request.quad_addr))
         reply_quad = request.payload_words[0] if request.payload_words else 0
         response = Packet(
@@ -212,7 +212,8 @@ class ChipNetwork(CoreNetworkHost):
             payload_words=words,
             dim_order=(0, 1, 2),            # responses are XYZ-only
             slice_index=request.slice_index,
-            quad_addr=reply_quad)
+            quad_addr=reply_quad,
+            hop_log=None if request.hop_log is None else [])
         self.send(response)
 
     def _deliver_fence(self, packet: Packet) -> None:

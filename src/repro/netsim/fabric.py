@@ -64,6 +64,7 @@ class Link:
         self._deliver = deliver
         self._busy_until = 0.0
         self._queues: List[Deque[_QueuedSend]] = [deque() for __ in range(vcs)]
+        self._queued = 0  # packets across all of _queues
         self._next_vc = 0  # round-robin arbitration pointer
         self.failed = False
         self._dead_vcs: set = set()
@@ -82,6 +83,7 @@ class Link:
         if not 0 <= vc < self.vcs:
             raise FabricError(f"{self.name}: VC {vc} out of range")
         self._queues[vc].append(_QueuedSend(packet, vc, on_accept))
+        self._queued += 1
         if self.monitor is not None:
             self.monitor.on_enqueue(self._sim.now, packet, vc)
         self._dispatch()
@@ -92,13 +94,27 @@ class Link:
         self._dispatch()
 
     def _eligible_vc(self) -> Optional[int]:
-        """The next VC (round-robin) whose head packet has credits."""
-        for offset in range(self.vcs):
-            vc = (self._next_vc + offset) % self.vcs
-            if vc in self._dead_vcs:
-                continue
-            queue = self._queues[vc]
-            if queue and self._credits[vc] >= queue[0].packet.num_flits:
+        """The next VC (round-robin) whose head packet has credits.
+
+        Scans ``_next_vc .. vcs-1`` then ``0 .. _next_vc-1``; a pointer
+        equal to ``vcs`` therefore scans from 0, so callers may advance it
+        without wrapping.
+        """
+        if not self._queued:
+            return None
+        queues = self._queues
+        credits = self._credits
+        dead = self._dead_vcs
+        start = self._next_vc
+        for vc in range(start, self.vcs):
+            queue = queues[vc]
+            if (queue and credits[vc] >= queue[0].packet.num_flits
+                    and not (dead and vc in dead)):
+                return vc
+        for vc in range(start):
+            queue = queues[vc]
+            if (queue and credits[vc] >= queue[0].packet.num_flits
+                    and not (dead and vc in dead)):
                 return vc
         return None
 
@@ -149,10 +165,11 @@ class Link:
                 # Channel busy: retry when it frees.
                 self._sim.at(self._busy_until, self._dispatch)
                 return
-            self._next_vc = (vc + 1) % self.vcs
+            self._next_vc = vc + 1  # _eligible_vc wraps vcs to 0
             conflicts = (self._eligible_count() - 1
                          if monitor is not None else 0)
             head = self._queues[vc].popleft()
+            self._queued -= 1
             self._credits[vc] -= head.packet.num_flits
             ser = head.packet.num_flits * self.ser_ns_per_flit
             start = now
@@ -168,12 +185,11 @@ class Link:
             if monitor is not None:
                 monitor.on_transmit(start, packet, vc, self._busy_until,
                                     arrival, conflicts)
-            self._sim.at(arrival, lambda p=packet, v=vc: self._deliver(
-                p, v, self))
+            self._sim.at(arrival, self._deliver, packet, vc, self)
 
     @property
     def queued(self) -> int:
-        return sum(len(queue) for queue in self._queues)
+        return self._queued
 
     # -- fault injection (repro.faults) -----------------------------------
 
@@ -298,13 +314,13 @@ class Router:
         """Entry point for packets from a link or local injection."""
         record = _InputRecord(from_link, vc, packet.num_flits)
         delay = self.pipeline_ns(packet, in_port)
-        self._sim.after(delay, lambda: self._forward(packet, vc, in_port,
-                                                     record))
+        self._sim.after(delay, self._forward, packet, vc, in_port, record)
 
     def _forward(self, packet: Packet, vc: int, in_port: str,
                  record: _InputRecord) -> None:
         self.packets_routed += 1
-        packet.log_hop(f"{self.name}[{in_port}]")
+        if packet.hop_log is not None:
+            packet.log_hop(f"{self.name}[{in_port}]")
         target, port, out_vc = self.route(packet, vc, in_port)
         if target == "local":
             record.release()

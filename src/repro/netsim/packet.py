@@ -70,7 +70,10 @@ class Packet:
     """One network packet in flight.
 
     Mutable bookkeeping fields (timestamps, hop log) are filled in by the
-    simulator as the packet traverses the machine.
+    simulator as the packet traverses the machine.  The hop log is
+    opt-in per packet: set ``hop_log = []`` before sending and every
+    router appends ``"name[in_port]"``; the default ``None`` keeps the
+    per-hop path free of string formatting.
     """
 
     kind: PacketKind
@@ -105,7 +108,7 @@ class Packet:
     injected_ns: Optional[float] = None
     delivered_ns: Optional[float] = None
     torus_hops_taken: int = 0
-    hop_log: List[str] = field(default_factory=list)
+    hop_log: Optional[List[str]] = None
     edge_target: Optional[object] = None  # set by the chip's planners
     # Stable trace identity (repro.observe): (node_id, per-chip sequence)
     # assigned at injection only when the machine is observed.  ``pid``

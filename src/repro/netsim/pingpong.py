@@ -100,7 +100,7 @@ class PingPongHarness:
                                        dst_core, quad_addr=ping_quad,
                                        slice_index=slice_index)
 
-        sim.after(0.0, lambda: start_round(0))
+        sim.after(0.0, start_round, 0)
         sim.run()
         if completed[0] != rounds:
             raise RuntimeError("ping-pong did not complete")

@@ -307,7 +307,7 @@ class FixedWindowHarness:
         sim = self.machine.sim
         if sim.now + self.think_ns < self._inject_end_ns:
             if self.think_ns > 0:
-                sim.after(self.think_ns, lambda: self._issue(node))
+                sim.after(self.think_ns, self._issue, node)
             else:
                 self._issue(node)
 

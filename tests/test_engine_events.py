@@ -1,6 +1,8 @@
 """Unit tests for the event queue and simulator kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import EventQueue, SimulationError, Simulator
 
@@ -50,6 +52,15 @@ class TestEventQueue:
             e.action()
         assert fired == ["kept"]
 
+    def test_push_carries_args(self):
+        q = EventQueue()
+        fired = []
+        q.push(1.0, lambda *a: fired.append(a), "x", 2, priority=1)
+        event = q.pop()
+        event.action(*event.args)
+        assert fired == [("x", 2)]
+        assert (event.time, event.priority) == (1.0, 1)
+
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()
         handle = q.push(1.0, lambda: None)
@@ -74,6 +85,57 @@ class TestSimulator:
         sim.at(10.0, lambda: sim.after(2.5, lambda: times.append(sim.now)))
         sim.run()
         assert times == [12.5]
+
+    def test_at_and_after_pass_positional_args(self):
+        sim = Simulator()
+        fired = []
+        sim.at(2.0, lambda a, b: fired.append((sim.now, a, b)), "at", 1)
+        sim.after(1.0, lambda a, b: fired.append((sim.now, a, b)), "after", 2)
+        sim.at(3.0, fired.append, ("no", "unpack"))
+        sim.run()
+        assert fired == [(1.0, "after", 2), (2.0, "at", 1), ("no", "unpack")]
+
+    def test_priority_is_keyword_only(self):
+        sim = Simulator()
+        fired = []
+        # A positional value after the action is an argument, never a
+        # priority: both events keep priority 0 and fire FIFO.
+        sim.at(1.0, fired.append, 1)
+        sim.at(1.0, fired.append, 0)
+        sim.after(1.0, fired.append, "first", priority=-1)
+        sim.run()
+        assert fired == ["first", 1, 0]
+
+    def test_cancelled_head_with_until(self):
+        sim = Simulator()
+        fired = []
+        head = sim.at(1.0, fired.append, "cancelled")
+        sim.at(3.0, fired.append, "late")
+        head.cancel()
+        assert sim.run(until=2.0) == 2.0
+        assert fired == []
+        assert sim.events_processed == 0
+        assert sim.pending_events == 1  # the cancelled head was discarded
+        sim.run()
+        assert fired == ["late"]
+        assert sim.events_processed == 1
+
+    def test_cancelled_head_with_max_events(self):
+        sim = Simulator()
+        fired = []
+        handles = [sim.at(float(t), fired.append, t) for t in range(5)]
+        handles[0].cancel()
+        handles[2].cancel()
+        sim.run(max_events=2)
+        # Cancelled events do not spend the budget.
+        assert fired == [1, 3]
+        assert sim.events_processed == 2
+        assert sim.now == 3.0
+        sim.run(max_events=0)
+        assert fired == [1, 3]
+        sim.run()
+        assert fired == [1, 3, 4]
+        assert sim.events_processed == 3
 
     def test_scheduling_in_past_raises(self):
         sim = Simulator()
@@ -151,3 +213,21 @@ class TestSimulator:
             return log
 
         assert build() == build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5).map(float),
+                          st.integers(-2, 2)),
+                max_size=40))
+def test_pop_order_is_time_priority_insertion(schedule):
+    """Random ``(time, priority)`` schedules fire in ``(time, priority,
+    insertion)`` order, each with its own args unchanged."""
+    sim = Simulator()
+    fired = []
+    for index, (time, priority) in enumerate(schedule):
+        sim.at(time, lambda *args: fired.append(args), index, (time, priority),
+               priority=priority)
+    sim.run()
+    expected = sorted(((t, p, i) for i, (t, p) in enumerate(schedule)))
+    assert fired == [(i, (t, p)) for t, p, i in expected]
+    assert sim.events_processed == len(schedule)

@@ -105,6 +105,8 @@ class TestBookkeeping:
 
     def test_hop_log(self):
         packet = make_packet()
+        assert packet.hop_log is None  # opt-in: off by default
+        packet.hop_log = []
         packet.log_hop("core(0,0)")
         packet.log_hop("ra0")
         assert packet.hop_log == ["core(0,0)", "ra0"]

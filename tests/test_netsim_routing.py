@@ -15,12 +15,23 @@ def machine():
     return NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=7)
 
 
+def send_logged_write(machine, src_node, src_core, dst_node, dst_core,
+                      words=(0, 0, 0, 0), quad=0):
+    """``send_counted_write`` with the packet's hop log opted in."""
+    packet = machine.make_request(
+        PacketKind.COUNTED_WRITE, src_node, src_core, dst_node, dst_core,
+        quad_addr=quad, payload_words=tuple(words), num_flits=1)
+    packet.hop_log = []
+    machine.chip(src_node).send(packet)
+    return packet
+
+
 def run_write(machine, src_node, src_core, dst_node, dst_core, words=(1, 2, 3, 4),
               quad=5):
-    packet = machine.send_counted_write(src_node, src_core, dst_node,
-                                        dst_core, quad_addr=quad,
-                                        words=words)
+    packet = send_logged_write(machine, src_node, src_core, dst_node,
+                               dst_core, words=words, quad=quad)
     machine.sim.run()
+    assert packet.hop_log, "an opted-in packet must log its router hops"
     return packet
 
 
@@ -49,6 +60,13 @@ class TestIntraNodeDelivery:
                 v_changed = True
             elif v_changed:
                 pytest.fail(f"U move after V move: {core_hops}")
+
+    def test_hop_log_is_opt_in(self, machine):
+        packet = machine.send_counted_write(
+            (0, 0, 0), CoreAddress(1, 1, 0), (1, 0, 0), CoreAddress(2, 2, 0))
+        machine.sim.run()
+        assert packet.delivered_ns is not None
+        assert packet.hop_log is None
 
     def test_intra_node_avoids_edge_network(self, machine):
         packet = run_write(machine, (0, 0, 0), CoreAddress(1, 1, 0),
@@ -114,11 +132,13 @@ class TestObliviousRouting:
         def run_once():
             m = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
                                seed=3)
-            p = m.send_counted_write((0, 0, 0), CoreAddress(1, 1, 0),
-                                     (1, 1, 0), CoreAddress(2, 2, 0))
+            p = send_logged_write(m, (0, 0, 0), CoreAddress(1, 1, 0),
+                                  (1, 1, 0), CoreAddress(2, 2, 0))
             m.sim.run()
             return p.delivered_ns, tuple(p.hop_log)
-        assert run_once() == run_once()
+        first = run_once()
+        assert first[1], "the compared hop logs must not be empty"
+        assert first == run_once()
 
 
 class TestEdgeNetworkPolicy:
@@ -128,9 +148,11 @@ class TestEdgeNetworkPolicy:
         machine = NetworkMachine(dims=(4, 2, 2), chip_cols=6, chip_rows=6,
                                  seed=11)
         # 2 hops along +X: node (1,0,0) is a pure through node.
-        packet = machine.send_counted_write(
-            (0, 0, 0), CoreAddress(0, 0, 0), (2, 0, 0), CoreAddress(0, 0, 0))
+        packet = send_logged_write(
+            machine, (0, 0, 0), CoreAddress(0, 0, 0), (2, 0, 0),
+            CoreAddress(0, 0, 0))
         machine.sim.run()
+        assert packet.hop_log
         mid_id = machine.torus.node_id((1, 0, 0))
         mid_hops = [h for h in packet.hop_log
                     if f"@n{mid_id}" in h and "ertr" in h]
@@ -149,9 +171,11 @@ class TestEdgeNetworkPolicy:
                 (1, 1, 0), CoreAddress(0, 0, 0))
             if packet.dim_order[0] in (0, 1):
                 break
+        packet.hop_log = []
         machine.chip((0, 0, 0)).send(packet)
         machine.sim.run()
         assert packet.delivered_ns is not None
+        assert packet.hop_log
         # The turn node saw at least one inner-column hop.
         first_axis = packet.dim_order[0] if packet.dim_order[0] != 2 else None
         mid = (1, 0, 0) if first_axis == 0 else (0, 1, 0)

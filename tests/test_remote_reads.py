@@ -30,10 +30,16 @@ def do_read(machine, src_node, dst_node, quad=5, reply=9,
     target.sram.write(quad, [11, 22, 33, 44])
     requester = machine.gc(src_node, src_core)
     requester.sram.reset_counter(reply)
-    request = machine.send_remote_read(src_node, src_core, dst_node,
-                                       dst_core, quad_addr=quad,
-                                       reply_quad=reply)
+    # ``send_remote_read`` with the hop log opted in; the response
+    # inherits the opt-in from its request.
+    request = machine.make_request(
+        PacketKind.READ_REQUEST, src_node, src_core, dst_node, dst_core,
+        quad_addr=quad, payload_words=(reply,), num_flits=1)
+    request.hop_log = []
+    machine.chip(src_node).send(request)
     machine.sim.run()
+    assert request.hop_log, "an opted-in request must log its router hops"
+    assert requester.delivered[-1].hop_log, "and so must its response"
     return request, requester
 
 
