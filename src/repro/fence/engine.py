@@ -33,6 +33,9 @@ from ..topology.torus import Coord, DIRECTIONS
 from ..netsim.machine import NetworkMachine
 from ..netsim.packet import CoreAddress, Packet, PacketKind, TrafficClass
 
+#: Source and destination core of every fence packet (the CA emits it).
+_FENCE_CORE = CoreAddress(0, 0, 0)
+
 
 class FencePattern(enum.Enum):
     """Predefined source/destination component-type pairs (Section V-A)."""
@@ -102,6 +105,9 @@ class FenceEngine:
         self._active_fences: set = set()
         self._next_fence_id = 0
         self._on_complete: Dict[int, Callable[[Coord, float], None]] = {}
+        # Each node's six (direction, neighbor) pairs, looked up once.
+        self._neighbors = {coord: machine.torus.neighbors(coord)
+                           for coord in machine.chips}
         self._bind_handlers()
 
     def _bind_handlers(self) -> None:
@@ -203,10 +209,8 @@ class FenceEngine:
         state = self._fault_state()
         if state is None or not state.active:
             return len(DIRECTIONS) * self.copies_per_direction
-        torus = self.machine.torus
         live_pairs = 0
-        for axis, sign in DIRECTIONS:
-            owner = torus.neighbor(coord, axis, sign)
+        for (axis, sign), owner in self._neighbors[coord]:
             for slice_index in range(self.slices):
                 if self._fence_pair_live(owner, (axis, -sign), slice_index):
                     live_pairs += 1
@@ -276,25 +280,25 @@ class FenceEngine:
         state = self._states[(fence_id, coord)]
         state.emitted_round = round_index
         chip = self.machine.chips[coord]
-        for axis, sign in DIRECTIONS:
+        now = self.machine.sim.now
+        payload = (fence_id, round_index)
+        for direction, neighbor in self._neighbors[coord]:
             for slice_index in range(self.slices):
-                if not self._fence_pair_live(coord, (axis, sign),
-                                             slice_index):
+                if not self._fence_pair_live(coord, direction, slice_index):
                     continue  # fence-dead channel: neighbor won't count it
-                ca = chip.channel_adapter((axis, sign), slice_index)
+                ca = chip.channel_adapter(direction, slice_index)
                 for vc in range(self.request_vcs):
                     packet = Packet(
                         kind=PacketKind.FENCE,
                         traffic_class=TrafficClass.REQUEST,
                         src_node=coord,
-                        dst_node=self.machine.torus.neighbor(
-                            coord, axis, sign),
-                        src_core=CoreAddress(0, 0, 0),
-                        dst_core=CoreAddress(0, 0, 0),
+                        dst_node=neighbor,
+                        src_core=_FENCE_CORE,
+                        dst_core=_FENCE_CORE,
                         num_flits=1,
-                        payload_words=(fence_id, round_index),
+                        payload_words=payload,
                         slice_index=slice_index)
-                    packet.injected_ns = self.machine.sim.now
+                    packet.injected_ns = now
                     ca.receive(packet, 0, "edge", None)
 
     def _make_handler(self, coord: Coord) -> Callable[[Packet], None]:

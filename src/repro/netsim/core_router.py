@@ -17,6 +17,7 @@ paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from ..engine.simulator import Simulator
@@ -44,6 +45,16 @@ class SubRouterSpec:
     hop_cycles: int
 
 
+@lru_cache(maxsize=8)
+def sub_router_specs(
+        params: LatencyParams) -> Tuple[SubRouterSpec, SubRouterSpec,
+                                        SubRouterSpec]:
+    """The ``(URTR, VRTR, TRTR)`` specs every tile built on ``params`` shares."""
+    return (SubRouterSpec("URTR", params.core_u_cycles),
+            SubRouterSpec("VRTR", params.core_v_cycles),
+            SubRouterSpec("TRTR", params.trtr_cycles))
+
+
 class CoreRouter(Router):
     """One tile's router; composed of URTR, VRTR and TRTR roles.
 
@@ -63,9 +74,7 @@ class CoreRouter(Router):
         self.v = v
         self._chip = chip
         self._params = params
-        self.urtr = SubRouterSpec("URTR", params.core_u_cycles)
-        self.vrtr = SubRouterSpec("VRTR", params.core_v_cycles)
-        self.trtr = SubRouterSpec("TRTR", params.trtr_cycles)
+        self.urtr, self.vrtr, self.trtr = sub_router_specs(params)
 
     def pipeline_ns(self, packet: Packet, in_port: str) -> float:
         params = self._params
@@ -136,7 +145,7 @@ class CoreNetwork:
                 link = Link(
                     sim, f"{router.name}->{port}", latency_ns=0.0,
                     ser_ns_per_flit=ser, vcs=vcs, credit_flits=credit_flits,
-                    deliver=_mesh_deliver(neighbor, port))
+                    deliver=neighbor, in_port=port)
                 router.add_output(port, link)
 
     def router(self, u: int, v: int) -> CoreRouter:
@@ -158,9 +167,3 @@ class CoreNetwork:
 
     def receive_from_ra(self, packet: Packet, vc: int, u: int, v: int) -> None:
         self.routers[(u, v)].receive(packet, vc, "RA", None)
-
-
-def _mesh_deliver(neighbor: CoreRouter, direction: str):
-    def deliver(packet: Packet, vc: int, link: Link) -> None:
-        neighbor.receive(packet, vc, direction, link)
-    return deliver

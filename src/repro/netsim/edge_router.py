@@ -25,6 +25,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from ..topology.torus import DIRECTIONS, direction_name
+from .core_router import core_vc
 from .fabric import FabricError, Link, Router
 from .packet import Packet, RESPONSE_VC, TrafficClass, request_vc
 from .params import LatencyParams
@@ -39,6 +40,10 @@ DIRECTION_ROWS: Dict[Tuple[int, int], int] = {
 
 OUTER_COL = 2
 INNER_COLS = (0, 1)
+
+#: Outer-column output port toward each direction's Channel Adapter.
+CA_PORTS: Dict[Tuple[int, int], str] = {
+    direction: f"CA:{direction_name(direction)}" for direction in DIRECTIONS}
 
 
 def compact_direction_rows() -> Dict[Tuple[int, int], int]:
@@ -132,7 +137,6 @@ class RowAdapter(Router):
             self._plan_egress(packet)
             return ("link", "edge", edge_vc(packet))
         if in_port == "edge":
-            from .core_router import core_vc
             return ("link", "core", core_vc(packet))
         raise FabricError(f"{self.name}: unknown in_port {in_port}")
 
@@ -212,7 +216,7 @@ class EdgeNetwork:
                 link = Link(sim, f"{router.name}->{port}", latency_ns=0.0,
                             ser_ns_per_flit=ser, vcs=vcs,
                             credit_flits=credit_flits,
-                            deliver=_edge_deliver(neighbor, port))
+                            deliver=neighbor, in_port=port)
                 router.add_output(port, link)
 
     def router(self, col: int, row: int) -> EdgeRouter:
@@ -226,13 +230,11 @@ class EdgeNetwork:
         vcs = self.vcs if vcs is None else vcs
         to_edge = Link(self._sim, f"{ra.name}->edge", latency_ns=0.0,
                        ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                       credit_flits=credit_flits,
-                       deliver=lambda p, v, l: inner.receive(p, v, "RA", l))
+                       credit_flits=credit_flits, deliver=inner, in_port="RA")
         ra.add_output("edge", to_edge)
         to_ra = Link(self._sim, f"{inner.name}->RA", latency_ns=0.0,
                      ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                     credit_flits=credit_flits,
-                     deliver=lambda p, v, l: ra.receive(p, v, "edge", l))
+                     credit_flits=credit_flits, deliver=ra, in_port="edge")
         inner.add_output("RA", to_ra)
 
     def attach_ca(self, ca: ChannelAdapter,
@@ -242,22 +244,13 @@ class EdgeNetwork:
         outer = self.routers[(OUTER_COL, row)]
         params = self._params
         vcs = self.vcs if vcs is None else vcs
-        port = f"CA:{direction_name(ca.direction)}"
+        port = CA_PORTS[ca.direction]
         to_ca = Link(self._sim, f"{outer.name}->{port}", latency_ns=0.0,
                      ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                     credit_flits=credit_flits,
-                     deliver=lambda p, v, l: ca.receive(p, v, "edge", l))
+                     credit_flits=credit_flits, deliver=ca, in_port="edge")
         outer.add_output(port, to_ca)
         to_edge = Link(self._sim, f"{ca.name}->edge", latency_ns=0.0,
                        ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                       credit_flits=credit_flits,
-                       deliver=lambda p, v, l: outer.receive(p, v, "CA", l))
+                       credit_flits=credit_flits, deliver=outer, in_port="CA")
         ca.add_output("edge", to_edge)
 
-
-def _edge_deliver(neighbor: EdgeRouter, direction: str):
-    opposite = {"E": "E", "W": "W", "N": "N", "S": "S"}[direction]
-
-    def deliver(packet: Packet, vc: int, link: Link) -> None:
-        neighbor.receive(packet, vc, opposite, link)
-    return deliver

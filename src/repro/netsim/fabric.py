@@ -10,12 +10,16 @@ latency, asks its subclass for a routing decision, and forwards on the
 chosen output link.  Flow control is credit-based virtual cut-through:
 a packet consumes downstream credits when it starts on a link and returns
 them when it leaves the downstream router's input queue.
+
+An idle link is a few slots: its per-VC send queues are created on first
+use, queue entries are plain ``(packet, upstream_link, upstream_vc)``
+tuples, and routers are themselves the links' delivery callables, so a
+large machine builds no closure, deque or record per channel.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..engine.simulator import Simulator
@@ -26,11 +30,13 @@ class FabricError(RuntimeError):
     """Raised on wiring or routing bugs."""
 
 
-@dataclass
-class _QueuedSend:
-    packet: Packet
-    vc: int
-    on_accept: Optional[Callable[[], None]]
+#: Queue entry: the packet plus the upstream link (and its VC) owed the
+#: packet's credits once this link accepts it; ``None`` for injection.
+_Entry = Tuple[Packet, Optional["Link"], int]
+
+#: The dead-VC set of every link with no dead VC; :meth:`Link.fail_vc`
+#: replaces it with the link's own set instead of mutating it.
+_NO_DEAD_VCS: frozenset = frozenset()
 
 
 class Link:
@@ -50,11 +56,20 @@ class Link:
         ser_ns_per_flit: Serialization time per flit.
         vcs: Number of virtual channels.
         credit_flits: Input-queue depth per VC at the receiver.
+        deliver: Called as ``deliver(packet, vc, link)`` on arrival; a
+            :class:`Router` is such a callable.
+        in_port: The receiving router's input port for this link.
     """
+
+    __slots__ = ("_sim", "name", "latency_ns", "ser_ns_per_flit", "vcs",
+                 "_credits", "_deliver", "in_port", "_busy_until", "_queues",
+                 "_queued", "_next_vc", "failed", "_dead_vcs", "packets_sent",
+                 "flits_sent", "_sent_by_vc", "busy_ns", "monitor")
 
     def __init__(self, sim: Simulator, name: str, latency_ns: float,
                  ser_ns_per_flit: float, vcs: int, credit_flits: int,
-                 deliver: Callable[[Packet, int, "Link"], None]) -> None:
+                 deliver: Callable[[Packet, int, "Link"], None],
+                 in_port: str = "") -> None:
         self._sim = sim
         self.name = name
         self.latency_ns = latency_ns
@@ -62,27 +77,45 @@ class Link:
         self.vcs = vcs
         self._credits = [credit_flits] * vcs
         self._deliver = deliver
+        self.in_port = in_port
         self._busy_until = 0.0
-        self._queues: List[Deque[_QueuedSend]] = [deque() for __ in range(vcs)]
+        # A VC's deque is created by its first send; None tests false
+        # wherever an empty queue would.
+        self._queues: List[Optional[Deque[_Entry]]] = [None] * vcs
         self._queued = 0  # packets across all of _queues
         self._next_vc = 0  # round-robin arbitration pointer
         self.failed = False
-        self._dead_vcs: set = set()
+        self._dead_vcs = _NO_DEAD_VCS
         self.packets_sent = 0
         self.flits_sent = 0
-        self.packets_sent_by_vc = [0] * vcs
+        self._sent_by_vc: Optional[List[int]] = None  # first dispatch
         self.busy_ns = 0.0
         # Observability (repro.observe): a LinkMonitor when the owning
         # machine is observed, else None — the unobserved hot path pays
         # only these None checks.
         self.monitor = None
 
-    def send(self, packet: Packet, vc: int,
-             on_accept: Optional[Callable[[], None]] = None) -> None:
-        """Queue ``packet`` for transmission on ``vc``."""
+    @property
+    def packets_sent_by_vc(self) -> List[int]:
+        """Packets dispatched per VC (zeros before the first dispatch)."""
+        if self._sent_by_vc is None:
+            return [0] * self.vcs
+        return self._sent_by_vc
+
+    def send(self, packet: Packet, vc: int, upstream: Optional["Link"] = None,
+             upstream_vc: int = 0) -> None:
+        """Queue ``packet`` for transmission on ``vc``.
+
+        ``upstream`` is the link the packet arrived on: it gets the
+        packet's credits back on ``upstream_vc`` when this link accepts
+        the packet, freeing its slot in the router's input queue.
+        """
         if not 0 <= vc < self.vcs:
             raise FabricError(f"{self.name}: VC {vc} out of range")
-        self._queues[vc].append(_QueuedSend(packet, vc, on_accept))
+        queue = self._queues[vc]
+        if queue is None:
+            queue = self._queues[vc] = deque()
+        queue.append((packet, upstream, upstream_vc))
         self._queued += 1
         if self.monitor is not None:
             self.monitor.on_enqueue(self._sim.now, packet, vc)
@@ -108,12 +141,12 @@ class Link:
         start = self._next_vc
         for vc in range(start, self.vcs):
             queue = queues[vc]
-            if (queue and credits[vc] >= queue[0].packet.num_flits
+            if (queue and credits[vc] >= queue[0][0].num_flits
                     and not (dead and vc in dead)):
                 return vc
         for vc in range(start):
             queue = queues[vc]
-            if (queue and credits[vc] >= queue[0].packet.num_flits
+            if (queue and credits[vc] >= queue[0][0].num_flits
                     and not (dead and vc in dead)):
                 return vc
         return None
@@ -125,7 +158,7 @@ class Link:
             if vc in self._dead_vcs:
                 continue
             queue = self._queues[vc]
-            if queue and self._credits[vc] >= queue[0].packet.num_flits:
+            if queue and self._credits[vc] >= queue[0][0].num_flits:
                 count += 1
         return count
 
@@ -142,7 +175,7 @@ class Link:
             queue = self._queues[vc]
             if not queue:
                 continue
-            if vc in self._dead_vcs or self._credits[vc] < queue[0].packet.num_flits:
+            if vc in self._dead_vcs or self._credits[vc] < queue[0][0].num_flits:
                 blocked.append(vc)
         return blocked
 
@@ -168,20 +201,24 @@ class Link:
             self._next_vc = vc + 1  # _eligible_vc wraps vcs to 0
             conflicts = (self._eligible_count() - 1
                          if monitor is not None else 0)
-            head = self._queues[vc].popleft()
+            packet, upstream, upstream_vc = self._queues[vc].popleft()
             self._queued -= 1
-            self._credits[vc] -= head.packet.num_flits
-            ser = head.packet.num_flits * self.ser_ns_per_flit
+            flits = packet.num_flits
+            self._credits[vc] -= flits
+            ser = flits * self.ser_ns_per_flit
             start = now
             self._busy_until = start + ser
             self.busy_ns += ser
             self.packets_sent += 1
-            self.flits_sent += head.packet.num_flits
-            self.packets_sent_by_vc[vc] += 1
-            if head.on_accept is not None:
-                head.on_accept()
+            self.flits_sent += flits
+            sent_by_vc = self._sent_by_vc
+            if sent_by_vc is None:
+                sent_by_vc = self._sent_by_vc = [0] * self.vcs
+            sent_by_vc[vc] += 1
+            if upstream is not None:
+                # Accepted: the packet leaves the upstream input queue.
+                upstream.return_credits(upstream_vc, flits)
             arrival = self._busy_until + self.latency_ns
-            packet = head.packet
             if monitor is not None:
                 monitor.on_transmit(start, packet, vc, self._busy_until,
                                     arrival, conflicts)
@@ -212,10 +249,10 @@ class Link:
         """Kill one virtual channel; the others keep flowing."""
         if not 0 <= vc < self.vcs:
             raise FabricError(f"{self.name}: VC {vc} out of range")
-        self._dead_vcs.add(vc)
+        self._dead_vcs = self._dead_vcs | {vc}
 
     def restore_vc(self, vc: int) -> None:
-        self._dead_vcs.discard(vc)
+        self._dead_vcs = self._dead_vcs - {vc}
         self._dispatch()
 
     # -- per-VC visibility (adaptive routing's credit/occupancy probe) ----
@@ -232,7 +269,8 @@ class Link:
 
     def queued_on(self, vc: int) -> int:
         """Packets waiting locally on ``vc``'s send queue."""
-        return len(self._queues[vc])
+        queue = self._queues[vc]
+        return len(queue) if queue else 0
 
     def queued_flits_on(self, vc: int) -> int:
         """Flits waiting locally on ``vc``'s send queue.
@@ -242,21 +280,10 @@ class Link:
         credits not yet spoken for by packets already committed to the
         VC.
         """
-        return sum(item.packet.num_flits for item in self._queues[vc])
-
-
-@dataclass
-class _InputRecord:
-    """Tracks the upstream link owed credits for a buffered packet."""
-
-    link: Optional[Link]
-    vc: int
-    flits: int
-
-    def release(self) -> None:
-        if self.link is not None:
-            self.link.return_credits(self.vc, self.flits)
-            self.link = None
+        queue = self._queues[vc]
+        if not queue:
+            return 0
+        return sum(entry[0].num_flits for entry in queue)
 
 
 class Router:
@@ -265,6 +292,9 @@ class Router:
     Subclasses implement :meth:`route` returning either
     ``("link", out_port, out_vc)`` or ``("local", sink_name, None)``;
     local sinks are registered callbacks (endpoint delivery).
+
+    A router is the delivery callable of the links that feed it: each
+    such link carries the router's input port as ``Link.in_port``.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -309,21 +339,29 @@ class Router:
         """Pipeline latency charged on arrival; subclasses override."""
         return 0.0
 
+    def __call__(self, packet: Packet, vc: int, link: Link) -> None:
+        """Link delivery: ``packet`` arrives on ``link``'s input port."""
+        self.receive(packet, vc, link.in_port, link)
+
     def receive(self, packet: Packet, vc: int, in_port: str,
                 from_link: Optional[Link]) -> None:
-        """Entry point for packets from a link or local injection."""
-        record = _InputRecord(from_link, vc, packet.num_flits)
+        """Entry point for packets from a link or local injection.
+
+        ``from_link`` (``None`` for injection) is owed the packet's
+        credits on ``vc`` once the packet leaves this router.
+        """
         delay = self.pipeline_ns(packet, in_port)
-        self._sim.after(delay, self._forward, packet, vc, in_port, record)
+        self._sim.after(delay, self._forward, packet, vc, in_port, from_link)
 
     def _forward(self, packet: Packet, vc: int, in_port: str,
-                 record: _InputRecord) -> None:
+                 from_link: Optional[Link]) -> None:
         self.packets_routed += 1
         if packet.hop_log is not None:
             packet.log_hop(f"{self.name}[{in_port}]")
         target, port, out_vc = self.route(packet, vc, in_port)
         if target == "local":
-            record.release()
+            if from_link is not None:
+                from_link.return_credits(vc, packet.num_flits)
             handler = self._sinks.get(port)
             if handler is None:
                 raise FabricError(f"{self.name}: no sink {port!r}")
@@ -331,7 +369,7 @@ class Router:
             return
         link = self.output(port)
         link.send(packet, out_vc if out_vc is not None else vc,
-                  on_accept=record.release)
+                  from_link, vc)
 
     # -- routing (subclass responsibility) --------------------------------
 

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.seeding import derive_seed
 from ..engine.simulator import Simulator
 from ..faults import FaultAdviser, FaultInjector, FaultState
-from ..routing import DEFAULT_POLICY, RoutePlan, RoutingPolicy, make_policy
+from ..routing import RoutePlan, RoutingPolicy, make_policy
 from ..topology.torus import Coord, DIRECTIONS, Torus3D
 from .chip import ChipNetwork, GcEndpoint
 from .config import MachineConfig
 from .fabric import FabricError, Link
 from .packet import CoreAddress, Packet, PacketKind, TrafficClass
-from .params import DEFAULT_PARAMS, LatencyParams
+from .params import LatencyParams
 
 _UNSET = object()  # sentinel distinguishing "not passed" from any value
 
@@ -136,8 +135,7 @@ class NetworkMachine:
                         latency_ns=params.channel_hop_ns,
                         ser_ns_per_flit=params.flit_serialization_ns,
                         vcs=params.link_vcs, credit_flits=8,
-                        deliver=lambda p, v, l, ca=ca_in: ca.receive(
-                            p, v, "channel", l))
+                        deliver=ca_in, in_port="channel")
                     chip.attach_channel((axis, sign), slice_index, link)
 
     # ------------------------------------------------------------------

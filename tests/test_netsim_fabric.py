@@ -1,9 +1,19 @@
 """Tests for links (credits, serialization) and the router base class."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.engine import Simulator
-from repro.netsim import CoreAddress, Packet, PacketKind, TrafficClass
+from repro.netsim import (
+    CoreAddress,
+    MachineConfig,
+    NetworkMachine,
+    Packet,
+    PacketKind,
+    TrafficClass,
+)
 from repro.netsim.fabric import FabricError, Link, Router
 
 
@@ -115,6 +125,39 @@ class TestLink:
         assert link.flits_sent == 2
         assert link.busy_ns == pytest.approx(3.0)
 
+    def test_untouched_vc_allocates_no_queue(self):
+        sim = Simulator()
+        link = Link(sim, "l", 0.0, 1.0, vcs=3, credit_flits=8,
+                    deliver=lambda p, v, l: None)
+        assert link.packets_sent_by_vc == [0, 0, 0]
+        sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 1))
+        sim.run()
+        assert link.packets_sent_by_vc == [0, 1, 0]
+        for vc in (0, 2):
+            assert link._queues[vc] is None
+            assert link.queued_on(vc) == 0
+            assert link.queued_flits_on(vc) == 0
+            assert link.vc_credits(vc) == 8
+        assert link.queued_on(1) == 0 and link.vc_credits(1) == 6
+
+    def test_fail_vc_leaves_sibling_links_live(self):
+        """Links share one empty dead-VC set; failing a VC on one link
+        must not kill that VC anywhere else."""
+        sim = Simulator()
+        arrivals = []
+        failed = Link(sim, "a", 0.0, 1.0, vcs=2, credit_flits=8,
+                      deliver=lambda p, v, l: None)
+        sibling = Link(sim, "b", 0.0, 1.0, vcs=2, credit_flits=8,
+                       deliver=lambda p, v, l: arrivals.append((sim.now, v)))
+        failed.fail_vc(0)
+        assert failed.vc_credits(0) == 0 and failed.vc_credits(1) == 8
+        assert sibling.vc_credits(0) == 8 and sibling.vc_credits(1) == 8
+        sim.at(0.0, lambda: sibling.send(make_packet(), 0))
+        sim.run()
+        assert arrivals == [(1.0, 0)]
+        failed.restore_vc(0)
+        assert failed.vc_credits(0) == 8
+
 
 class _StubRouter(Router):
     def __init__(self, sim, name, decision, latency=1.0):
@@ -188,3 +231,56 @@ class TestRouter:
         sim.run()
         # Second packet required the first's credit to come back.
         assert link.packets_sent == 2
+
+    def test_credit_returns_when_downstream_link_accepts(self):
+        """In a two-link chain the upstream credit comes back when the
+        downstream link accepts the packet, not when the packet arrives
+        at the router between them, and it comes back exactly once."""
+        sim = Simulator()
+        arrivals = []
+        delivered = []
+
+        class Recording(_StubRouter):
+            def pipeline_ns(self, packet, in_port):
+                arrivals.append((sim.now, in_port))
+                return 1.0
+
+        router = Recording(sim, "r", ("link", "out", 0))
+        up = Link(sim, "up", 0.0, 1.0, vcs=1, credit_flits=1,
+                  deliver=router, in_port="in")
+        down = Link(sim, "down", 0.0, 1.0, vcs=1, credit_flits=1,
+                    deliver=lambda p, v, l: delivered.append(sim.now))
+        router.add_output("out", down)
+
+        def send_two():
+            up.send(make_packet(), 0)
+            up.send(make_packet(), 0)
+
+        sim.at(0.0, send_two)
+        sim.run()
+        # The first packet is accepted downstream at 2.0, which frees
+        # the upstream credit for the second; the second reaches the
+        # router at 3.0 but waits on the downstream link's credit.
+        assert arrivals == [(1.0, "in"), (3.0, "in")]
+        assert delivered == [3.0]
+        assert down.queued == 1
+        assert up.vc_credits(0) == 0
+        sim.at(10.0, lambda: down.return_credits(0, 1))
+        sim.run()
+        assert delivered == [3.0, 11.0]
+        assert up.vc_credits(0) == 1
+
+
+def test_machine_build_creates_no_queues_or_closures():
+    """A built machine holds no per-VC deque and no per-link closure:
+    queues appear on first send, and routers are the links' delivery
+    callables."""
+    config = MachineConfig(dims=(2, 2, 2), chip_cols=6, chip_rows=6)
+    NetworkMachine(config=config)  # warm imports and shared caches
+    gc.collect()
+    before = Counter(type(obj).__name__ for obj in gc.get_objects())
+    machine = NetworkMachine(config=config)
+    after = Counter(type(obj).__name__ for obj in gc.get_objects())
+    assert len(machine.chips) == 8
+    for kind in ("deque", "function", "cell"):
+        assert after[kind] - before[kind] <= 0, kind
